@@ -132,132 +132,122 @@ def view_rotation(theta: float, phi: float) -> np.ndarray:
     return rot_x @ rot_z
 
 
-#: Switch between the vectorized scatter and the per-particle reference
-#: loop.  The vectorized path is bit-identical to the loop (the equality
-#: tests pin this down) but ~50-100x faster; flip to False to debug
-#: against the reference implementation.
-VECTORIZED_SCATTER = True
-
-#: Element budget per vectorized chunk (particles x window cells); keeps
-#: the temporary (chunk, span, span) arrays under ~100 MB even for
-#: pathological smoothing lengths.
-_SCATTER_CHUNK_ELEMENTS = 4_000_000
+#: Element budget per scatter chunk (particles x clipped window cells);
+#: bounds the chunk's temporaries whatever the smoothing lengths.
+_SCATTER_CHUNK_ELEMENTS = 1 << 18
 
 
 def _cubic_spline_kernel(q: np.ndarray) -> np.ndarray:
-    """2-D-normalised cubic spline (M4), support ``q`` in [0, 2).
+    """2-D-normalised cubic spline (M4) with support [0, 2), for ``q >= 0``
+    (``inf`` allowed).
 
-    Shared by the reference loop and the vectorized scatter so both paths
-    evaluate the exact same float expressions.
+    Evaluates ``0.25 * (2 - q)**3`` everywhere, clamped to 0 from
+    ``q = 2``, then overwrites ``q < 1`` with ``1 - 1.5 q**2 + 0.75 q**3``:
+    the same float expressions per element as the masked textbook form.
     """
-    w = np.zeros_like(q)
-    m1 = q < 1.0
-    m2 = (q >= 1.0) & (q < 2.0)
-    w[m1] = 1.0 - 1.5 * q[m1] ** 2 + 0.75 * q[m1] ** 3
-    w[m2] = 0.25 * (2.0 - q[m2]) ** 3
-    return w * (10.0 / (7.0 * np.pi))
+    w = np.maximum(2.0 - q, 0.0)
+    w **= 3
+    w *= 0.25
+    inner = q < 1.0
+    a = q[inner]
+    w[inner] = 1.0 - 1.5 * a**2 + 0.75 * a**3
+    w *= 10.0 / (7.0 * np.pi)
+    return w
 
 
-def _scatter_loop(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> None:
-    """Reference per-particle scatter (pure-python loop over particles).
+def _scatter(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> None:
+    """Add every particle's SPH kernel to ``grid``, in particle order.
 
-    Kept as the readable specification of the algorithm and as the
-    fallback when :data:`VECTORIZED_SCATTER` is off; the vectorized path
-    must reproduce its output bit for bit.
+    The reference is a per-particle loop (the oracle ``_scatter_loop`` in
+    ``tests/test_apps_galaxy.py``) that, for particle ``i`` with
+    ``h = max(smoothing[i], cell)``, adds ``masses[i] * w`` over its
+    clipped window ``[cx - r, cx + r] x [cy - r, cy + r]`` (``r =
+    ceil(2h / cell)``), where ``w = kernel(sqrt(dx**2 + dy**2) / h) /
+    (h * h)`` at the cell centres ``(idx + 0.5) * cell - extent``.  This
+    compact form is bit-identical to that loop because:
+
+    1. every per-element float expression is the loop's: the cell
+       centres, ``sqrt(dx**2 + dy**2) / h``, :func:`_cubic_spline_kernel`,
+       ``/ (h * h)`` and ``masses * w``;
+    2. each cell receives its contributions in particle order: the
+       particles are grouped by window span only to compute, and every
+       contribution is written back into one particle-major stream at
+       offsets from a cumsum of kept-cell counts.  ``np.bincount`` adds
+       its weights in input order, and each chunk's stream starts with
+       the grid so far, so chunks chain in particle order too;
+    3. the only entries dropped are exact zeros: cells outside the
+       particle's clipped window (the loop never visits them) and cells
+       with ``q >= 2`` (contribution ``mass * 0.0``).  Adding a zero
+       leaves a grid cell bitwise unchanged, as a cell summed from +0.0
+       is never -0.0;
+    4. temporaries stay under :data:`_SCATTER_CHUNK_ELEMENTS` elements
+       (or one particle's window, at most ``resolution**2``): windows are
+       clipped to the grid before anything is allocated, and chunks are
+       cut from a cumsum of clipped window sizes.
+
+    Window bounds are computed in float and clipped to ``[0,
+    resolution]``; rounding of out-of-range bounds cannot cross the
+    clip, so they equal the loop's integer bounds.
     """
-    for i in range(len(xs)):
-        h = max(smoothing[i], cell)
-        cx = int(np.floor((xs[i] + extent) / cell))
-        cy = int(np.floor((ys[i] + extent) / cell))
-        radius_cells = int(np.ceil(2.0 * h / cell))
-        x_lo, x_hi = max(cx - radius_cells, 0), min(cx + radius_cells + 1, resolution)
-        y_lo, y_hi = max(cy - radius_cells, 0), min(cy + radius_cells + 1, resolution)
-        if x_lo >= x_hi or y_lo >= y_hi:
-            continue
-        gx = (np.arange(x_lo, x_hi) + 0.5) * cell - extent
-        gy = (np.arange(y_lo, y_hi) + 0.5) * cell - extent
-        dx = (gx - xs[i])[:, None]
-        dy = (gy - ys[i])[None, :]
-        q = np.sqrt(dx**2 + dy**2) / h
-        # h * h (not h**2): numpy's *scalar* power goes through libm pow,
-        # which can differ from the array path's x*x square by 1 ulp; an
-        # explicit product keeps both scatter paths bit-identical.
-        w = _cubic_spline_kernel(q) / (h * h)
-        grid[x_lo:x_hi, y_lo:y_hi] += masses[i] * w
-
-
-def _scatter_vectorized(xs, ys, masses, smoothing, grid, resolution, cell, extent) -> None:
-    """Vectorized SPH scatter, bit-identical to :func:`_scatter_loop`.
-
-    Why the output is *exactly* equal, not just close:
-
-    * every per-cell contribution is the same elementwise float
-      expression the loop evaluates (``(idx + 0.5) * cell - extent``,
-      ``sqrt(dx**2 + dy**2) / h``, the shared kernel, ``/ (h * h)``,
-      ``masses * w``), so each scalar is bit-identical;
-    * each particle's window is the loop's own clipped
-      ``[x_lo, x_hi) x [y_lo, y_hi)`` rectangle, padded out to the
-      chunk's widest window.  Padded cells beyond a particle's own
-      rectangle are masked to contribution 0.0 at index 0, and adding
-      0.0 leaves every (never ``-0.0``) grid cell bitwise unchanged —
-      so the set of effective (cell, contribution) pairs matches the
-      loop exactly;
-    * ``np.add.at`` accumulates unbuffered in index order, and the index
-      array is built particle-major — so each grid cell receives its
-      contributions in particle order, exactly like the loop.  Chunking
-      splits the particle range in order, preserving that property.
-
-    Temporaries are (chunk, span_x, span_y) with spans capped at
-    ``resolution``; the chunk size adapts to keep them under
-    :data:`_SCATTER_CHUNK_ELEMENTS` elements.
-    """
-    n = len(xs)
-    if n == 0:
-        return
     h = np.maximum(smoothing, cell)
-    cx = np.floor((xs + extent) / cell).astype(np.int64)
-    cy = np.floor((ys + extent) / cell).astype(np.int64)
-    radius = np.ceil(2.0 * h / cell).astype(np.int64)
-    x_lo = np.maximum(cx - radius, 0)
-    x_hi = np.minimum(cx + radius + 1, resolution)
-    y_lo = np.maximum(cy - radius, 0)
-    y_hi = np.minimum(cy + radius + 1, resolution)
-    wx = np.maximum(x_hi - x_lo, 0)
-    wy = np.maximum(y_hi - y_lo, 0)
+    cx = np.floor((xs + extent) / cell)
+    cy = np.floor((ys + extent) / cell)
+    radius = np.ceil(2.0 * h / cell)
+    if not (np.isfinite(cx).all() and np.isfinite(cy).all() and np.isfinite(radius).all()):
+        raise ValueError("particle coordinates overflow the grid")
+    x_lo = np.clip(cx - radius, 0, resolution).astype(np.int64)
+    x_hi = np.clip(cx + radius + 1, 0, resolution).astype(np.int64)
+    y_lo = np.clip(cy - radius, 0, resolution).astype(np.int64)
+    y_hi = np.clip(cy + radius + 1, 0, resolution).astype(np.int64)
+    live = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi))
+    span = np.minimum(2 * radius[live] + 1, resolution).astype(np.int64)
+    size = np.cumsum(span * span)
+    total = int(size[-1]) if len(size) else 0
+    cuts = np.searchsorted(
+        size, np.arange(_SCATTER_CHUNK_ELEMENTS, total, _SCATTER_CHUNK_ELEMENTS), "right"
+    )
+    hh = h * h
     flat = grid.reshape(-1)
-    start = 0
-    while start < n:
-        # Grow the chunk until the padded-window element budget is hit.
-        end = start + 1
-        sx = int(wx[start])
-        sy = int(wy[start])
-        while end < n:
-            nsx = max(sx, int(wx[end]))
-            nsy = max(sy, int(wy[end]))
-            if (end + 1 - start) * nsx * nsy > _SCATTER_CHUNK_ELEMENTS:
-                break
-            sx, sy = nsx, nsy
-            end += 1
-        if sx == 0 or sy == 0:
-            start = end
+    ncell = resolution * resolution
+    for part, part_span in zip(np.split(live, cuts), np.split(span, cuts)):
+        if len(part) == 0:
             continue
-        sl = slice(start, end)
-        ix = x_lo[sl, None] + np.arange(sx, dtype=np.int64)[None, :]
-        iy = y_lo[sl, None] + np.arange(sy, dtype=np.int64)[None, :]
-        gx = (ix + 0.5) * cell - extent
-        gy = (iy + 0.5) * cell - extent
-        dx = gx - xs[sl, None]
-        dy = gy - ys[sl, None]
-        hc = h[sl, None, None]
-        q = np.sqrt(dx[:, :, None] ** 2 + dy[:, None, :] ** 2) / hc
-        w = _cubic_spline_kernel(q) / (hc * hc)
-        contrib = masses[sl, None, None] * w
-        ok = (ix < x_hi[sl, None])[:, :, None] & (iy < y_hi[sl, None])[:, None, :]
-        idx = np.minimum(ix, resolution - 1)[:, :, None] * resolution + np.minimum(
-            iy, resolution - 1
-        )[:, None, :]
-        np.add.at(flat, np.where(ok, idx, 0).ravel(), np.where(ok, contrib, 0.0).ravel())
-        start = end
+        counts = np.empty(len(part), dtype=np.int64)
+        groups = []
+        for s in np.unique(part_span).tolist():
+            g = np.flatnonzero(part_span == s)
+            p = part[g]
+            ix = x_lo[p, None] + np.arange(s)
+            iy = y_lo[p, None] + np.arange(s)
+            dx = ((ix + 0.5) * cell - extent) - xs[p, None]
+            dy = ((iy + 0.5) * cell - extent) - ys[p, None]
+            dx **= 2
+            dy **= 2
+            # Cells past the particle's own window get q = inf: dropped.
+            dx[ix >= x_hi[p, None]] = np.inf
+            dy[iy >= y_hi[p, None]] = np.inf
+            q = dx[:, :, None] + dy[:, None, :]
+            np.sqrt(q, out=q)
+            q /= h[p, None, None]
+            k = np.flatnonzero(q < 2.0)
+            kept = np.diff(np.searchsorted(k, np.arange(len(p) + 1) * (s * s)))
+            counts[g] = kept
+            w = _cubic_spline_kernel(q.reshape(-1)[k])
+            w /= np.repeat(hh[p], kept)
+            w *= np.repeat(masses[p], kept)
+            window = (np.arange(s)[:, None] * resolution + np.arange(s)).ravel()
+            cells = (x_lo[p] * resolution + y_lo[p])[:, None] + window
+            groups.append((g, kept, cells.reshape(-1)[k], w))
+        offset = np.cumsum(counts) - counts + ncell
+        idx = np.empty(int(offset[-1] + counts[-1]), dtype=np.int64)
+        val = np.empty(len(idx))
+        idx[:ncell] = np.arange(ncell)
+        val[:ncell] = flat
+        for g, kept, cells, w in groups:
+            pos = np.arange(len(w)) + np.repeat(offset[g] - (np.cumsum(kept) - kept), kept)
+            idx[pos] = cells
+            val[pos] = w
+        flat[:] = np.bincount(idx, val, minlength=ncell)
 
 
 def sph_column_density(
@@ -273,18 +263,17 @@ def sph_column_density(
     ``view`` picks an axis-aligned plane; non-zero ``theta``/``phi``
     rotate the frame first, giving arbitrary perspectives.  Uses the
     standard cubic-spline (M4) kernel truncated at 2h, scattered onto the
-    grid per particle.  Returns a (resolution, resolution) array.
-
-    The scatter runs vectorized by default
-    (:func:`_scatter_vectorized`); set
-    :data:`VECTORIZED_SCATTER` to False to use the per-particle
-    reference loop.  Both paths produce bit-identical grids.
+    grid per particle (:func:`_scatter`).  Returns a (resolution,
+    resolution) array.  Raises ``ValueError`` on non-finite particle data.
     """
     if view not in _VIEW_AXES:
         raise ValueError(f"unknown view {view!r}; valid: {sorted(_VIEW_AXES)}")
     if resolution < 4:
         raise ValueError("resolution must be >= 4")
     positions = snapshot.positions
+    for name in ("positions", "masses", "smoothing"):
+        if not np.isfinite(getattr(snapshot, name)).all():
+            raise ValueError(f"particle {name} must be finite")
     if theta != 0.0 or phi != 0.0:
         positions = positions @ view_rotation(theta, phi).T
     ax, ay = _VIEW_AXES[view]
@@ -292,8 +281,7 @@ def sph_column_density(
     ys = positions[:, ay]
     grid = np.zeros((resolution, resolution))
     cell = 2.0 * extent / resolution
-    scatter = _scatter_vectorized if VECTORIZED_SCATTER else _scatter_loop
-    scatter(xs, ys, snapshot.masses, snapshot.smoothing, grid, resolution, cell, extent)
+    _scatter(xs, ys, snapshot.masses, snapshot.smoothing, grid, resolution, cell, extent)
     return grid
 
 

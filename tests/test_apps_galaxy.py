@@ -1,7 +1,11 @@
 """Tests for the galaxy-formation scenario (Case 1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.apps.galaxy as galaxy_mod
 from repro.apps.galaxy import (
@@ -12,8 +16,70 @@ from repro.apps.galaxy import (
     generate_snapshots,
     register_dataset,
     sph_column_density,
+    view_rotation,
 )
-from repro.core import LocalEngine, UnitError
+from repro.core import LocalEngine, ParticleSnapshot, UnitError
+
+
+# --- reference oracle ------------------------------------------------------
+# The readable specification of the SPH scatter.  ``galaxy_mod._scatter``
+# must reproduce it bit for bit (np.array_equal, never allclose): the BENCH
+# baselines and the TCP-vs-sim checksums assume the fast path changes
+# nothing about the rendered images.
+
+
+def _reference_kernel(q):
+    """2-D-normalised cubic spline (M4), support ``q`` in [0, 2)."""
+    w = np.zeros_like(q)
+    m1 = q < 1.0
+    m2 = (q >= 1.0) & (q < 2.0)
+    w[m1] = 1.0 - 1.5 * q[m1] ** 2 + 0.75 * q[m1] ** 3
+    w[m2] = 0.25 * (2.0 - q[m2]) ** 3
+    return w * (10.0 / (7.0 * np.pi))
+
+
+def _scatter_loop(xs, ys, masses, smoothing, grid, resolution, cell, extent):
+    """Per-particle reference scatter (pure-python loop over particles)."""
+    for i in range(len(xs)):
+        h = max(smoothing[i], cell)
+        cx = int(np.floor((xs[i] + extent) / cell))
+        cy = int(np.floor((ys[i] + extent) / cell))
+        radius_cells = int(np.ceil(2.0 * h / cell))
+        x_lo, x_hi = max(cx - radius_cells, 0), min(cx + radius_cells + 1, resolution)
+        y_lo, y_hi = max(cy - radius_cells, 0), min(cy + radius_cells + 1, resolution)
+        if x_lo >= x_hi or y_lo >= y_hi:
+            continue
+        gx = (np.arange(x_lo, x_hi) + 0.5) * cell - extent
+        gy = (np.arange(y_lo, y_hi) + 0.5) * cell - extent
+        dx = (gx - xs[i])[:, None]
+        dy = (gy - ys[i])[None, :]
+        q = np.sqrt(dx**2 + dy**2) / h
+        # h * h (not h**2): numpy's *scalar* power goes through libm pow,
+        # which can differ from the array path's x*x square by 1 ulp.
+        w = _reference_kernel(q) / (h * h)
+        grid[x_lo:x_hi, y_lo:y_hi] += masses[i] * w
+
+
+def _reference_render(snapshot, resolution, view="xy", extent=2.5, theta=0.0, phi=0.0):
+    """:func:`sph_column_density` with the reference loop as its scatter."""
+    positions = snapshot.positions
+    if theta != 0.0 or phi != 0.0:
+        positions = positions @ view_rotation(theta, phi).T
+    ax, ay = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}[view]
+    grid = np.zeros((resolution, resolution))
+    cell = 2.0 * extent / resolution
+    _scatter_loop(positions[:, ax], positions[:, ay], snapshot.masses,
+                  snapshot.smoothing, grid, resolution, cell, extent)
+    return grid
+
+
+def _scatter_both(xs, ys, masses, smoothing, resolution, extent=2.5):
+    cell = 2 * extent / resolution
+    expected = np.zeros((resolution, resolution))
+    got = np.zeros((resolution, resolution))
+    _scatter_loop(xs, ys, masses, smoothing, expected, resolution, cell, extent)
+    galaxy_mod._scatter(xs, ys, masses, smoothing, got, resolution, cell, extent)
+    return expected, got
 
 
 class TestSnapshots:
@@ -117,55 +183,85 @@ class TestUnits:
 
     @pytest.mark.parametrize("resolution", [32, 64, 127])
     def test_scatter_vectorized_bit_identical_to_loop(self, resolution):
-        """The numpy scatter must reproduce the reference loop bit for bit.
-
-        This is the determinism contract for the render pipeline: the
-        BENCH baselines and any golden image comparison assume the
-        vectorized fast path changes *nothing* about the output, so the
-        assertion is array_equal (exact bits), not allclose.
-        """
+        """The compact scatter reproduces the reference loop bit for bit."""
         rng = np.random.default_rng(7)
         n = 500
         xs = rng.uniform(-3.0, 3.0, n)  # some particles off-grid
         ys = rng.uniform(-3.0, 3.0, n)
         masses = rng.uniform(0.1, 2.0, n)
         smoothing = rng.uniform(0.0, 0.4, n)  # below-cell values clamp
-        extent = 2.5
-        cell = 2 * extent / resolution
-        grid_loop = np.zeros((resolution, resolution))
-        grid_vec = np.zeros((resolution, resolution))
-        galaxy_mod._scatter_loop(
-            xs, ys, masses, smoothing, grid_loop, resolution, cell, extent
-        )
-        galaxy_mod._scatter_vectorized(
-            xs, ys, masses, smoothing, grid_vec, resolution, cell, extent
-        )
-        assert np.array_equal(grid_loop, grid_vec)
+        expected, got = _scatter_both(xs, ys, masses, smoothing, resolution)
+        assert np.array_equal(expected, got)
 
-    def test_scatter_chunking_is_bit_neutral(self):
-        """A tiny chunk budget (forcing many chunks) changes nothing."""
+    def test_scatter_chunking_is_bit_neutral(self, monkeypatch):
+        """A tiny element budget (forcing many chunks) changes nothing."""
         rng = np.random.default_rng(11)
         n = 300
         xs = rng.uniform(-2.0, 2.0, n)
         ys = rng.uniform(-2.0, 2.0, n)
         masses = rng.uniform(0.1, 2.0, n)
         smoothing = rng.uniform(0.0, 0.5, n)
-        resolution, extent = 48, 2.5
-        cell = 2 * extent / resolution
-        one_chunk = np.zeros((resolution, resolution))
-        many_chunks = np.zeros((resolution, resolution))
-        galaxy_mod._scatter_vectorized(
-            xs, ys, masses, smoothing, one_chunk, resolution, cell, extent
-        )
-        budget = galaxy_mod._SCATTER_CHUNK_ELEMENTS
-        try:
-            galaxy_mod._SCATTER_CHUNK_ELEMENTS = 500
-            galaxy_mod._scatter_vectorized(
-                xs, ys, masses, smoothing, many_chunks, resolution, cell, extent
+        expected, one_chunk = _scatter_both(xs, ys, masses, smoothing, 48)
+        monkeypatch.setattr(galaxy_mod, "_SCATTER_CHUNK_ELEMENTS", 500)
+        _, many_chunks = _scatter_both(xs, ys, masses, smoothing, 48)
+        assert np.array_equal(expected, one_chunk)
+        assert np.array_equal(expected, many_chunks)
+
+    def test_scatter_memory_bounded_by_budget(self, monkeypatch):
+        """Huge smoothing lengths are clipped to the grid before anything
+        is allocated, and the chunk budget bounds the temporaries: the
+        unclipped (2r+1)**2 window of h = 1e6 at 64x64 would be ~6.6e14
+        cells, and 64 particles of 64x64 windows would be 262k cells."""
+        budget = 1 << 13
+        monkeypatch.setattr(galaxy_mod, "_SCATTER_CHUNK_ELEMENTS", budget)
+        resolution = 64
+        # 16 float64s per budgeted element, for all live temporaries.
+        bound = (budget + resolution**2) * 16 * 8
+        for n in (1, 64):
+            snap = ParticleSnapshot(
+                positions=np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3),
+                masses=np.full(n, 1.0 / n),
+                smoothing=np.full(n, 1e6),
             )
-        finally:
-            galaxy_mod._SCATTER_CHUNK_ELEMENTS = budget
-        assert np.array_equal(one_chunk, many_chunks)
+            tracemalloc.start()
+            try:
+                got = sph_column_density(snap, resolution=resolution)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n, peak, bound)
+            assert np.array_equal(got, _reference_render(snap, resolution))
+
+    def test_kernel_matches_reference(self):
+        q = np.concatenate([
+            np.linspace(0.0, 2.5, 100_001),
+            np.nextafter([1.0, 1.0, 2.0, 2.0], [0.0, 2.0, 0.0, 3.0]),
+            [0.0, 1.0, 2.0, 1e300, np.inf],
+        ])
+        assert np.array_equal(galaxy_mod._cubic_spline_kernel(q), _reference_kernel(q))
+
+    @pytest.mark.parametrize("field", ["positions", "masses", "smoothing"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_particles_are_rejected(self, field, bad):
+        """Non-finite data is an error, never a silently dropped particle
+        or an all-zero image."""
+        snap = generate_snapshots(n_frames=1, n_particles=20, seed=3)[0]
+        values = getattr(snap, field).copy()
+        values.reshape(-1)[5] = bad
+        setattr(snap, field, values)
+        with pytest.raises(ValueError, match=field):
+            sph_column_density(snap, resolution=16)
+        with pytest.raises(UnitError, match=field):
+            ColumnDensity(resolution=16).process([snap])
+
+    def test_coordinates_overflowing_the_grid_are_rejected(self):
+        """Finite data whose cell coordinates overflow (the reference loop
+        raises OverflowError) is an error, not a garbage integer window."""
+        for field, value in (("positions", 1e308), ("smoothing", 1e308)):
+            snap = generate_snapshots(n_frames=1, n_particles=5, seed=3)[0]
+            getattr(snap, field).reshape(-1)[0] = value
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+                sph_column_density(snap, resolution=16, extent=1e-3)
 
     def test_column_density_bad_view_is_unit_error(self):
         frames = generate_snapshots(n_frames=1, n_particles=10, seed=0)
@@ -189,6 +285,42 @@ class TestUnits:
     def test_cost_model_scales_with_particles(self):
         cd = ColumnDensity()
         assert cd.estimated_flops(40 * 10_000) > 50 * cd.estimated_flops(40 * 100)
+
+
+@st.composite
+def _render_cases(draw):
+    """Particle sets covering the scatter's edge cases: no or one particle,
+    off-grid positions, ``h`` below one cell and far above ``extent``,
+    windows clipped by every edge, and rotated views."""
+    n = draw(st.sampled_from([0, 1, 2, draw(st.integers(3, 300))]))
+    resolution = draw(st.integers(4, 128))
+    extent = draw(st.sampled_from([0.5, 2.5, 7.0]))
+    h_scale = draw(st.sampled_from([0.01, 0.3, 2.0, 200.0])) * extent
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.uniform(-1.5 * extent, 1.5 * extent, (n, 3))
+    if n and draw(st.booleans()):  # exactly on cell edges and grid borders
+        positions[: n // 2 + 1] = rng.integers(-resolution, resolution + 1, (n // 2 + 1, 3)) * (
+            extent / resolution
+        )
+    snap = ParticleSnapshot(
+        positions=positions,
+        masses=rng.uniform(-0.5, 2.0, n),
+        smoothing=rng.uniform(0.0, 1.0, n) * h_scale,
+    )
+    view = draw(st.sampled_from(["xy", "xz", "yz"]))
+    angles = draw(st.sampled_from([(0.0, 0.0), (0.3, 1.1), (np.pi / 2, -2.0)]))
+    return snap, resolution, view, extent, angles
+
+
+class TestScatterOracleProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_render_cases())
+    def test_render_bit_identical_to_reference_loop(self, case):
+        snap, resolution, view, extent, (theta, phi) = case
+        got = sph_column_density(snap, resolution=resolution, view=view, extent=extent,
+                                 theta=theta, phi=phi)
+        expected = _reference_render(snap, resolution, view, extent, theta, phi)
+        assert np.array_equal(got, expected)
 
 
 class TestLocalPipeline:

@@ -9,6 +9,7 @@ Every blocking test arms a SIGALRM hard timeout so a wedged socket
 path fails the suite instead of hanging it.
 """
 
+import logging
 import signal
 import time
 
@@ -171,6 +172,37 @@ class TestLoopback:
             pump_until([sim_a], lambda: got)
             assert got[0].payload == 1
         finally:
+            ta.close()
+
+    def test_corrupt_body_keeps_the_connection(self, caplog):
+        # A well-framed body that is not valid wire data (here a string
+        # that is not UTF-8) is counted; the next frame on the same
+        # inbound connection is still delivered.
+        import socket
+        import struct
+
+        from repro.transport.wire import MAGIC, WIRE_VERSION, encode_message
+
+        sim_a, ta = make_transport()
+        got = []
+        ta.add_node("a", got.append)
+        bad = MAGIC + bytes([WIRE_VERSION]) + b"s" + (2).to_bytes(4, "big") + b"\xff\xfe"
+        good = encode_message(Message("ok", "x", "a", payload=7))
+        raw = socket.create_connection(("127.0.0.1", ta.port))
+        try:
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                for body in (bad, good):
+                    raw.sendall(struct.pack(">I", len(body)) + body)
+                pump_until([sim_a], lambda: got)
+            assert ta.stats.corrupted == 1
+            assert got[0].kind == "ok" and got[0].payload == 7
+            assert ta.stats.delivered == 1
+            assert not [
+                r for r in caplog.records
+                if r.name == "asyncio" and r.levelno >= logging.WARNING
+            ]
+        finally:
+            raw.close()
             ta.close()
 
 

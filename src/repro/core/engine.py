@@ -91,6 +91,28 @@ class LocalEngine:
         self.probes: list[Probe] = []
         self.stats = RunStats()
         self._sink_outputs: dict[str, list[Any]] = {}
+        # The firing plan, compiled once: the flattened graph is frozen
+        # from here on.  One row per task in topological order; each
+        # row's probe list is shared with attach_probe.
+        self._probes_of: dict[str, list[Probe]] = {name: [] for name in self.order}
+        plan = []
+        for name in self.order:
+            task = self.graph.task(name)
+            fanout: dict[int, list[tuple[str, int]]] = {}
+            for c in self.graph.out_connections(name):
+                fanout.setdefault(c.src_node, []).append((c.dst, c.dst_node))
+            outgoing = tuple((node, tuple(keys)) for node, keys in fanout.items())
+            plan.append((
+                name,
+                self.units[name],
+                task,
+                task.num_outputs,
+                tuple((name, node) for node in range(task.num_inputs)),
+                outgoing,
+                self._probes_of[name],
+                not outgoing and task.num_inputs > 0,
+            ))
+        self._plan = tuple(plan)
 
     def _check_fedness(self) -> None:
         for t, n in self.external:
@@ -129,6 +151,7 @@ class LocalEngine:
             raise GraphError(f"{task!r} has no output node {node}")
         probe = Probe(task, node)
         self.probes.append(probe)
+        self._probes_of[task].append(probe)
         return probe
 
     # -- execution ------------------------------------------------------------
@@ -152,57 +175,63 @@ class LocalEngine:
 
         ``external`` must supply a value for each declared external input.
         """
-        external = external or {}
+        if external is None:
+            external = {}
+        if external.keys() != self.external:
+            self._reject_externals(external)
+        # Every payload is sized once, when it enters ``pending``.
+        pending: dict[tuple[str, int], tuple[Any, int]] = {
+            key: (value, _payload_bytes(value)) for key, value in external.items()
+        }
+        outputs_map: dict[str, list[Any]] = {}
+        self._sink_outputs = {}
+        stats = self.stats
+        per_task_flops = stats.per_task_flops
+        for name, unit, task, num_outputs, in_keys, outgoing, probes, is_sink in self._plan:
+            inputs = []
+            in_bytes = 0
+            for key in in_keys:
+                try:
+                    value, nbytes = pending.pop(key)
+                except KeyError:
+                    raise GraphError(
+                        f"task {name!r} fired before input {key[1]} arrived; "
+                        "graph is under-connected"
+                    ) from None
+                inputs.append(value)
+                in_bytes += nbytes
+            outputs = unit.process(inputs)
+            if outputs is None:
+                outputs = []
+            if len(outputs) != num_outputs:
+                raise UnitError(
+                    f"unit {task.unit_name} returned {len(outputs)} outputs, "
+                    f"declared {num_outputs}"
+                )
+            outputs_map[name] = list(outputs)
+            stats.firings += 1
+            flops = unit.estimated_flops(in_bytes)
+            stats.modelled_flops += flops
+            per_task_flops[name] = per_task_flops.get(name, 0.0) + flops
+            for probe in probes:
+                probe(outputs[probe.node])
+            for src_node, dst_keys in outgoing:
+                value = outputs[src_node]
+                nbytes = _payload_bytes(value)
+                for dst_key in dst_keys:
+                    pending[dst_key] = (value, nbytes)
+                    stats.bytes_moved += nbytes
+            if is_sink:
+                self._sink_outputs[name] = list(inputs)
+        stats.iterations += 1
+        return outputs_map
+
+    def _reject_externals(self, external: dict[tuple[str, int], Any]) -> None:
         missing = self.external - set(external)
         if missing:
             raise GraphError(f"missing external inputs: {sorted(missing)}")
         unknown = set(external) - self.external
-        if unknown:
-            raise GraphError(f"undeclared external inputs supplied: {sorted(unknown)}")
-
-        pending: dict[tuple[str, int], Any] = dict(external)
-        outputs_map: dict[str, list[Any]] = {}
-        self._sink_outputs = {}
-        for name in self.order:
-            task = self.graph.task(name)
-            unit = self.units[name]
-            inputs = []
-            for node in range(task.num_inputs):
-                key = (name, node)
-                if key not in pending:
-                    raise GraphError(
-                        f"task {name!r} fired before input {node} arrived; "
-                        "graph is under-connected"
-                    )
-                inputs.append(pending.pop(key))
-            in_bytes = sum(_payload_bytes(v) for v in inputs)
-            outputs = unit.process(inputs)
-            if outputs is None:
-                outputs = []
-            if len(outputs) != task.num_outputs:
-                raise UnitError(
-                    f"unit {task.unit_name} returned {len(outputs)} outputs, "
-                    f"declared {task.num_outputs}"
-                )
-            outputs_map[name] = list(outputs)
-            self.stats.firings += 1
-            flops = unit.estimated_flops(in_bytes)
-            self.stats.modelled_flops += flops
-            self.stats.per_task_flops[name] = (
-                self.stats.per_task_flops.get(name, 0.0) + flops
-            )
-            for probe in self.probes:
-                if probe.task == name:
-                    probe(outputs[probe.node])
-            outgoing = self.graph.out_connections(name)
-            for conn in outgoing:
-                value = outputs[conn.src_node]
-                pending[(conn.dst, conn.dst_node)] = value
-                self.stats.bytes_moved += _payload_bytes(value)
-            if not outgoing and task.num_inputs:
-                self._sink_outputs.setdefault(name, []).extend(inputs)
-        self.stats.iterations += 1
-        return outputs_map
+        raise GraphError(f"undeclared external inputs supplied: {sorted(unknown)}")
 
     # -- migration support -----------------------------------------------------
     def checkpoint(self) -> dict[str, dict[str, Any]]:

@@ -7,7 +7,7 @@ units a signal-analysis toolbox needs.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -402,22 +402,36 @@ class WindowFn(Unit):
 
 
 class _FFTFilter(Unit):
-    """Zero out FFT bins outside the pass region."""
+    """Zero out FFT bins outside the pass region.
+
+    The stop-band bin indices depend only on ``(n, fs, cutoff)``, so the
+    last ones computed are kept with that key and reused while it holds.
+    ``cutoff`` is read on every call (a reparam can change it mid-run).
+    The cache is not unit state: :meth:`checkpoint` leaves it out.
+    """
 
     NUM_INPUTS = 1
     NUM_OUTPUTS = 1
     INPUT_TYPES = (SampleSet,)
     OUTPUT_TYPES = (SampleSet,)
 
+    _stop_key: Optional[tuple] = None
+    _stop: np.ndarray
+
     def _mask(self, freqs: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
     def process(self, inputs: Sequence[Any]) -> list[Any]:
         (sig,) = inputs
+        n = len(sig.data)
+        key = (n, sig.sampling_rate, self.get_param("cutoff"))
+        if key != self._stop_key:
+            freqs = np.fft.rfftfreq(n, d=1.0 / sig.sampling_rate)
+            self._stop = np.flatnonzero(~self._mask(freqs))
+            self._stop_key = key
         spec = np.fft.rfft(sig.data)
-        freqs = np.fft.rfftfreq(len(sig.data), d=1.0 / sig.sampling_rate)
-        spec[~self._mask(freqs)] = 0.0
-        data = np.fft.irfft(spec, n=len(sig.data))
+        spec[self._stop] = 0.0
+        data = np.fft.irfft(spec, n=n)
         return [SampleSet(data=data, sampling_rate=sig.sampling_rate, t0=sig.t0)]
 
     def estimated_flops(self, input_nbytes: int) -> float:

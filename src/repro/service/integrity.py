@@ -358,30 +358,39 @@ class ReplicationVoting(VerificationStrategy):
     def _extra_hosts(self, ctx, primary: str, count: int) -> list[str]:
         """Up to ``count`` distinct replica hosts, primary excluded.
 
-        Deterministic rotation from the primary's slot; dispatchable
-        peers first, merely-online ones as a fallback so a heavily
-        quarantined fleet still gets its replicas.
+        Deterministic rotation from the primary's slot (slot 0 when the
+        primary is not a host); dispatchable peers first, merely-online
+        ones as a fallback so a heavily quarantined fleet still gets its
+        replicas.  The walk stops at the ``count``-th dispatchable peer;
+        a ``count`` below one still yields one host.
         """
         hosts = self._host_order
-        if primary in hosts:
+        n = len(hosts)
+        try:
             anchor = hosts.index(primary)
-        else:
+        except ValueError:
             anchor = 0
-        ordered = [hosts[(anchor + off) % len(hosts)] for off in range(1, len(hosts))]
-        ordered = [h for h in ordered if h != primary]
+        want = max(count, 1)
+        is_online = ctx.is_online
+        is_dispatchable = ctx.detector.is_dispatchable
         now = ctx.sim.now
-        preferred = [
-            h for h in ordered
-            if ctx.is_online(h) and ctx.detector.is_dispatchable(h, now)
-        ]
-        fallback = [h for h in ordered if h not in preferred and ctx.is_online(h)]
         chosen: list[str] = []
-        for host in preferred + fallback:
-            if host not in chosen:
+        fallback: list[str] = []
+        seen = {primary}
+        for off in range(1, n):
+            host = hosts[(anchor + off) % n]
+            if host in seen:
+                continue
+            seen.add(host)
+            if not is_online(host):
+                continue
+            if is_dispatchable(host, now):
                 chosen.append(host)
-            if len(chosen) >= count:
-                break
-        return chosen
+                if len(chosen) == want:
+                    return chosen
+            else:
+                fallback.append(host)
+        return (chosen + fallback)[:want]
 
     def _replicate_send(self, ctx, host: str, iteration: int, inputs) -> None:
         self.stats["replicas_issued"] += 1

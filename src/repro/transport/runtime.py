@@ -13,6 +13,10 @@ That is what this subclass does:
   was created), so a ``timeout(5)`` scheduled by a heartbeat loop fires
   roughly five *real* seconds later, and detector ``now`` values,
   traces, and telemetry all carry meaningful wall-clock stamps.
+  Inside ``run`` it is the stamp of the tick being processed; read
+  between runs it catches up with the wall first, so work scheduled
+  from outside the kernel (``sim.now + window``) counts from the real
+  present, however long the kernel sat idle.
 * Between due events the kernel calls registered **pumps** — callables
   provided by socket transports that block (up to a bound) until
   network activity arrives.  A TCP frame delivered by a pump succeeds
@@ -66,13 +70,26 @@ class RealtimeSimulator(Simulator):
         idle_wait: float = 0.05,
         settle_grace: float = 0.25,
     ):
-        super().__init__(seed, tracer)
         self._epoch = time.monotonic()
+        self._running = False
+        super().__init__(seed, tracer)
         self.idle_wait = idle_wait
         self.settle_grace = settle_grace
         self._pumps: List[Callable[[float], None]] = []
 
     # -- wall clock ---------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Kernel clock: the current tick's stamp inside ``run``, wall
+        time (never less than the last stamp) between runs."""
+        if not self._running:
+            self._now = max(self._now, self.wall_now)
+        return self._now
+
+    @now.setter
+    def now(self, value: float) -> None:
+        self._now = value
+
     @property
     def wall_now(self) -> float:
         """Seconds of real time since this kernel was created."""
@@ -125,6 +142,13 @@ class RealtimeSimulator(Simulator):
 
     # -- drain loops --------------------------------------------------------
     def _run(self, until):
+        running, self._running = self._running, True
+        try:
+            return self._drain(until)
+        finally:
+            self._running = running
+
+    def _drain(self, until):
         if isinstance(until, Event):
             stop = until
             while not stop.processed:

@@ -10,6 +10,8 @@ what they catch, convictions drain detector trust, and the
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ConsumerGrid, TaskGraph, chaos
 from repro.apps.database import TableData, build_database_graph, register_table
@@ -199,6 +201,100 @@ class TestMakeVerifier:
         grid = make_grid(1)
         with pytest.raises(SchedulingError):
             grid.run(g, iterations=2, verification="majority-5")
+
+
+# -- replica pick --------------------------------------------------------------------
+
+
+def reference_extra_hosts(hosts, ctx, primary, count):
+    """The replica pick as list comprehensions over the whole rotation."""
+    if primary in hosts:
+        anchor = hosts.index(primary)
+    else:
+        anchor = 0
+    ordered = [hosts[(anchor + off) % len(hosts)] for off in range(1, len(hosts))]
+    ordered = [h for h in ordered if h != primary]
+    now = ctx.sim.now
+    preferred = [
+        h for h in ordered
+        if ctx.is_online(h) and ctx.detector.is_dispatchable(h, now)
+    ]
+    fallback = [h for h in ordered if h not in preferred and ctx.is_online(h)]
+    chosen = []
+    for host in preferred + fallback:
+        if host not in chosen:
+            chosen.append(host)
+        if len(chosen) >= count:
+            break
+    return chosen
+
+
+class _FleetCtx:
+    """Liveness and dispatchability from fixed sets, like a frozen fleet."""
+
+    def __init__(self, online, dispatchable, now=42.0):
+        class _Sim:
+            pass
+
+        class _Detector:
+            def is_dispatchable(self, host, at):
+                assert at == now
+                return host in dispatchable
+
+        self.sim = _Sim()
+        self.sim.now = now
+        self.detector = _Detector()
+        self._online = online
+
+    def is_online(self, host):
+        return host in self._online
+
+
+@st.composite
+def replica_picks(draw):
+    pool = [f"w{i}" for i in range(8)]
+    hosts = draw(st.lists(st.sampled_from(pool), max_size=10))
+    online = draw(st.sets(st.sampled_from(pool)))
+    dispatchable = draw(st.sets(st.sampled_from(pool)))
+    primary = draw(st.sampled_from(hosts + ["", "ghost"]))
+    count = draw(st.integers(0, len(hosts) + 1))
+    return hosts, online, dispatchable, primary, count
+
+
+class TestReplicaPick:
+    @given(replica_picks())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference(self, case):
+        hosts, online, dispatchable, primary, count = case
+        voter = ReplicationVoting(k=2)
+        voter._host_order = list(hosts)
+        ctx = _FleetCtx(online, dispatchable)
+        assert voter._extra_hosts(ctx, primary, count) == reference_extra_hosts(
+            hosts, ctx, primary, count
+        )
+
+    def test_tie_break_pool_skips_the_first_host(self):
+        # A primary that is not a host anchors at slot 0, whose host is
+        # then never offered (the tie-break pool passes ``""``).
+        voter = ReplicationVoting(k=2)
+        voter._host_order = ["w0", "w1", "w2", "w3"]
+        ctx = _FleetCtx(set(voter._host_order), set(voter._host_order))
+        assert voter._extra_hosts(ctx, "", 4) == ["w1", "w2", "w3"]
+
+    def test_stops_at_count(self):
+        asked = []
+
+        class _Counting(_FleetCtx):
+            def is_online(self, host):
+                asked.append(host)
+                return True
+
+        hosts = [f"w{i}" for i in range(63)]
+        voter = ReplicationVoting(k=2)
+        voter._host_order = hosts
+        ctx = _Counting(set(), set(hosts))
+        assert voter._extra_hosts(ctx, "w10", 1) == ["w11"]
+        assert asked == ["w11"]
 
 
 # -- reputation --------------------------------------------------------------------

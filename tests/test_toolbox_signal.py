@@ -326,3 +326,56 @@ def test_accumstat_mean_property(values):
         seen.append(v)
         (m,) = acc.process([Spectrum(data=np.array([v]))])
         np.testing.assert_allclose(m.data[0], np.mean(seen), rtol=1e-9, atol=1e-9)
+
+
+# -- the filters' stop-band cache ---------------------------------------------
+
+
+def reference_filter(unit, sig):
+    """The uncached filter: rebuild frequencies and mask on every call."""
+    spec = np.fft.rfft(sig.data)
+    freqs = np.fft.rfftfreq(len(sig.data), d=1.0 / sig.sampling_rate)
+    spec[~unit._mask(freqs)] = 0.0
+    return np.fft.irfft(spec, n=len(sig.data))
+
+
+class TestFilterStopBandCache:
+    # Bin width is fs / n, so e.g. 1024 / 256 = 4 Hz puts 100 Hz on a bin
+    # edge, as does 1 Hz for n = fs = 255.
+    @pytest.mark.parametrize("cls", [LowPass, HighPass])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256])
+    @pytest.mark.parametrize("fs", [1.0, 255.0, 1024.0, 3000.5])
+    @pytest.mark.parametrize("cutoff", [0.25, 1.0, 10.0, 100.0, 400.0, 1e9])
+    def test_bit_equal_to_uncached(self, cls, n, fs, cutoff):
+        rng = np.random.default_rng(n)
+        unit = cls(cutoff=cutoff)
+        for _ in range(2):  # the second call hits the cache
+            sig = SampleSet(data=rng.normal(size=n), sampling_rate=fs)
+            (out,) = unit.process([sig])
+            np.testing.assert_array_equal(out.data, reference_filter(unit, sig))
+            assert out.data.tobytes() == reference_filter(unit, sig).tobytes()
+
+    @pytest.mark.parametrize("cls", [LowPass, HighPass])
+    def test_new_length_and_rate_rebuild_the_band(self, cls):
+        unit = cls(cutoff=100.0)
+        rng = np.random.default_rng(3)
+        for n, fs in [(256, 1024.0), (255, 1024.0), (255, 512.0), (256, 1024.0)]:
+            sig = SampleSet(data=rng.normal(size=n), sampling_rate=fs)
+            (out,) = unit.process([sig])
+            assert out.data.tobytes() == reference_filter(unit, sig).tobytes()
+
+    @pytest.mark.parametrize("cls", [LowPass, HighPass])
+    def test_reparam_between_calls_changes_output(self, cls):
+        sig = sine(freq=152.0, n=256)  # between the two cutoffs
+        unit = cls(cutoff=100.0)
+        (before,) = unit.process([sig])
+        unit.set_param("cutoff", 200.0)
+        (after,) = unit.process([sig])
+        (fresh,) = cls(cutoff=200.0).process([sig])
+        assert after.data.tobytes() == fresh.data.tobytes()
+        assert abs(np.abs(before.data).max() - np.abs(after.data).max()) > 0.5
+
+    def test_cache_is_not_checkpointed(self):
+        unit = LowPass(cutoff=100.0)
+        unit.process([sine()])
+        assert unit.checkpoint() == {}

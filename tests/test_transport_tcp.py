@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro import ConsumerGrid
+from repro import ConsumerGrid, TaskGraph
 from repro.apps.galaxy import build_galaxy_graph, generate_snapshots
 from repro.deployment import run_tcp_localhost
 from repro.p2p.network import Message
@@ -227,6 +227,52 @@ class TestGridOverTcp:
             tcp_grid.transport.close()
         assert result_checksum(tcp_report.group_results) == want
         assert tcp_report.placements == sim_report.placements
+
+
+    def test_grid_left_idle_before_run_still_discovers(self):
+        # The discovery window is scheduled at ``sim.now + window`` from
+        # outside the kernel; a clock left at its last tick would close
+        # the window before any reply could arrive.
+        graph = TaskGraph("idle-chain")
+        graph.add_task("Source", "Wave", samples=64)
+        graph.add_task("Low", "LowPass", cutoff=300.0)
+        graph.add_task("High", "HighPass", cutoff=2.0)
+        graph.add_task("Sink", "Grapher")
+        graph.connect("Source", 0, "Low", 0)
+        graph.connect("Low", 0, "High", 0)
+        graph.connect("High", 0, "Sink", 0)
+        graph.group_tasks("Chain", ["Low", "High"], policy="parallel")
+
+        sim_report = ConsumerGrid(n_workers=2, seed=0).run(graph, iterations=20)
+        want = [result_checksum(outputs) for outputs in sim_report.group_results]
+
+        tcp_grid = ConsumerGrid(
+            n_workers=2, seed=0, transport="tcp", query_window=0.2,
+        )
+        try:
+            time.sleep(0.5)
+            tcp_report = tcp_grid.run(graph, iterations=20)
+        finally:
+            tcp_grid.transport.close()
+        assert [result_checksum(o) for o in tcp_report.group_results] == want
+
+
+class TestRealtimeClock:
+    def test_clock_read_between_runs_follows_the_wall(self):
+        sim = RealtimeSimulator()
+        sim.run(until=0.01)
+        time.sleep(0.2)
+        assert sim.now >= 0.2
+        assert sim.now <= sim.wall_now
+
+    def test_clock_inside_a_callback_is_the_tick_stamp(self):
+        sim = RealtimeSimulator()
+        seen = []
+        ev = sim.timeout(0.05)
+        ev.callbacks.append(lambda _ev: seen.append((sim.now, sim.now)))
+        sim.run(until=ev)
+        (first, second), = seen
+        assert first == second >= 0.05
 
 
 class TestMultiProcessE2E:
